@@ -13,19 +13,12 @@ let non_tx_party = { mode = Non_tx; priority = max_int }
 
 type outcome = Granted | Rejected of { by : core_id option }
 
-type injected_fault =
-  | Swmr_violation
-  | Lost_wakeup
-  | Dirty_commit
-  | Cross_partition_write
-  | Short_hop_schedule
+type injected_fault = Swmr_violation | Lost_wakeup | Dirty_commit
 
 let fault_label = function
   | Swmr_violation -> "swmr-violation"
   | Lost_wakeup -> "lost-wakeup"
   | Dirty_commit -> "dirty-commit"
-  | Cross_partition_write -> "cross-partition-write"
-  | Short_hop_schedule -> "short-hop-schedule"
 
 let pp_access ppf a =
   Format.pp_print_string ppf

@@ -147,11 +147,16 @@ let of_string s =
         | 'u' ->
           if !pos + 4 > n then parse_error !pos "truncated \\u escape";
           let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          let code =
-            try int_of_string ("0x" ^ hex)
-            with _ -> parse_error !pos ("bad \\u escape " ^ hex)
+          (* Exactly four hex digits: [int_of_string] alone would also
+             take OCaml's [_] digit separators. *)
+          let is_hex = function
+            | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+            | _ -> false
           in
+          if not (String.for_all is_hex hex) then
+            parse_error !pos ("bad \\u escape " ^ hex);
+          pos := !pos + 4;
+          let code = int_of_string ("0x" ^ hex) in
           (* Encode the code point as UTF-8 (surrogate pairs are passed
              through as-is; the simulator never emits them). *)
           if code < 0x80 then Buffer.add_char b (Char.chr code)
@@ -182,6 +187,14 @@ let of_string s =
       advance ()
     done;
     let token = String.sub s start (!pos - start) in
+    (* JSON forbids leading zeros: 0, -0 and 0.5 are numbers, 007 and
+       -01 are not. *)
+    let digits = if token <> "" && token.[0] = '-' then 1 else 0 in
+    if
+      String.length token > digits + 1
+      && token.[digits] = '0'
+      && match token.[digits + 1] with '0' .. '9' -> true | _ -> false
+    then parse_error start ("leading zero in number " ^ token);
     let floaty =
       String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token
     in

@@ -1,7 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 SHELL := /bin/bash
 
-.PHONY: all build test bench perfcheck doc lint check telemetry replay-smoke hytm-smoke profile-smoke ci clean
+.PHONY: all build test bench perfcheck doc lint check telemetry replay-smoke hytm-smoke profile-smoke cache-smoke ci clean
 
 all: build
 
@@ -137,26 +137,32 @@ perfcheck:
 	dune exec bench/main.exe -- --micro --format json --scale 0.1
 	dune exec bench/perfcheck.exe -- BENCH_micro.json bench/baseline.json
 
-# What CI runs: full build + every test suite, then a cold-vs-warm
-# smoke of the parallel experiment harness against a throwaway cache —
-# the warm run must report zero simulations — and finally the perf
-# gate. The diff filters the nondeterministic lines: render/wall times
-# ("rendered in", "perf:") and the cache-hit counts ("simulations:").
+# Result-cache smoke: a cold-vs-warm run of the parallel experiment
+# harness against a throwaway cache. The warm run must report zero
+# simulations and print the same tables; the diff filters the
+# nondeterministic lines: render/wall times ("rendered in", "perf:")
+# and the cache-hit counts ("simulations:").
+cache-smoke:
+	rm -rf _build/cache-smoke && mkdir -p _build/cache-smoke
+	dune exec bench/main.exe -- fig7 --scale 0.1 --jobs 2 \
+	  --cache-dir _build/cache-smoke/cache > _build/cache-smoke/cold.out
+	dune exec bench/main.exe -- fig7 --scale 0.1 --jobs 2 \
+	  --cache-dir _build/cache-smoke/cache > _build/cache-smoke/warm.out
+	grep -q "(simulations: 0," _build/cache-smoke/warm.out
+	diff <(grep -v "rendered in\|simulations:\|perf:" _build/cache-smoke/cold.out) \
+	     <(grep -v "rendered in\|simulations:\|perf:" _build/cache-smoke/warm.out)
+	rm -rf _build/cache-smoke
+	@echo "cache smoke: OK"
+
+# What CI runs: full build + every test suite, the checkers, the
+# smokes and finally the perf gate.
 ci:
 	dune build
 	$(MAKE) lint
 	dune runtest
 	$(MAKE) check
 	$(MAKE) doc
-	rm -rf _build/ci-cache
-	dune exec bench/main.exe -- fig7 --scale 0.1 --jobs 2 \
-	  --cache-dir _build/ci-cache > _build/ci-cold.out
-	dune exec bench/main.exe -- fig7 --scale 0.1 --jobs 2 \
-	  --cache-dir _build/ci-cache > _build/ci-warm.out
-	grep -q "(simulations: 0," _build/ci-warm.out
-	diff <(grep -v "rendered in\|simulations:\|perf:" _build/ci-cold.out) \
-	     <(grep -v "rendered in\|simulations:\|perf:" _build/ci-warm.out)
-	rm -rf _build/ci-cache
+	$(MAKE) cache-smoke
 	$(MAKE) telemetry
 	$(MAKE) replay-smoke
 	$(MAKE) hytm-smoke

@@ -14,9 +14,7 @@
      dune exec bench/main.exe -- --csv out/   # also write CSVs
      dune exec bench/main.exe -- --jobs 8     # parallel simulations
      dune exec bench/main.exe -- --no-cache   # ignore the result cache
-     dune exec bench/main.exe -- --cache-dir d  # cache location
-     dune exec bench/main.exe -- --trace-events trace.json
-                                              # one traced reference run *)
+     dune exec bench/main.exe -- --cache-dir d  # cache location *)
 
 module Experiments = Lockiller.Sim.Experiments
 module Report = Lockiller.Sim.Report
@@ -405,44 +403,6 @@ let run_perf_micro ~scale ~format =
     Printf.printf "mesh  256-core over 32-core:     %.2fx\n\n%!"
       (speedup m256 m32)
 
-(* --- Traced reference run ----------------------------------------------- *)
-
-(* One observability-instrumented simulation (the acceptance scenario:
-   LockillerTM / genome / 8 threads) with the event ledger on, exported
-   as a Chrome/Perfetto trace plus the abort breakdown on stdout.
-   Always uncached: the on_runtime hook would be unsound to cache. *)
-let run_traced ~scale ~file =
-  let module Runtime = Lockiller.Mechanisms.Runtime in
-  let module Tracing = Lockiller.Sim.Tracing in
-  let module Ledger = Lockiller.Engine.Ledger in
-  match Lockiller.Stamp.Suite.find "genome" with
-  | None -> assert false
-  | Some w ->
-    let handle = ref None in
-    let r =
-      Runner.run
-        ~options:
-          {
-            Runner.default_options with
-            scale;
-            on_runtime =
-              (fun rt ->
-                handle := Some rt;
-                ignore (Runtime.enable_ledger rt));
-          }
-        ~sysconf:Sysconf.lockiller ~workload:w ~threads:8 ()
-    in
-    (match Option.map Runtime.ledger !handle with
-    | Some (Some l) ->
-      Tracing.write_perfetto ~file l;
-      Printf.printf "(trace-events: %s, %d events, %d dropped)\n" file
-        (Ledger.length l) (Ledger.dropped l);
-      Report.print (Tracing.breakdown_table (Tracing.abort_breakdown l))
-    | Some None | None -> assert false);
-    Printf.printf "(traced run: %d cycles, commit rate %.1f%%)\n%!"
-      r.Runner.cycles
-      (100.0 *. r.Runner.commit_rate)
-
 (* --- Bechamel microbenchmarks ------------------------------------------- *)
 
 open Bechamel
@@ -579,7 +539,6 @@ let () =
   let jobs = ref (Pool.default_jobs ()) in
   let no_cache = ref false in
   let cache_dir = ref None in
-  let trace_events = ref None in
   let ids = ref [] in
   let rec parse = function
     | [] -> ()
@@ -622,19 +581,11 @@ let () =
     | "--csv" :: dir :: rest ->
       csv_dir := Some dir;
       parse rest
-    | "--trace-events" :: file :: rest ->
-      trace_events := Some file;
-      parse rest
     | id :: rest ->
       ids := !ids @ [ id ];
       parse rest
   in
   parse args;
-  (match !trace_events with
-  | Some file ->
-    run_traced ~scale:!scale ~file;
-    exit 0
-  | None -> ());
   if !micro_only then begin
     run_perf_micro ~scale:!scale ~format:!format;
     if !format = `Text then run_micro ();

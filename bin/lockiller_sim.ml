@@ -111,8 +111,9 @@ let trace_capacity_t =
     value
     & opt (pos_int_conv "--trace-capacity") 65536
     & info [ "trace-capacity" ] ~docv:"N"
-        ~doc:"Event-ledger ring capacity in records, for --trace-events \
-              and --abort-breakdown; older records are dropped beyond it.")
+        ~doc:"Event-ledger ring capacity in records, for the trace \
+              listing, --trace-events and --abort-breakdown; older \
+              records are dropped beyond it.")
 
 let telemetry_file_t =
   Arg.(
@@ -341,7 +342,6 @@ let run_cmd =
           | None -> []
           | Some rt ->
             [
-              ("runtime", Runtime.stats rt);
               ( "protocol",
                 Lockiller.Coherence.Protocol.stats (Runtime.protocol rt) );
               ( "network",
@@ -811,8 +811,8 @@ let trace_cmd =
   in
   let action system workload threads last seed scale cache cores trace_events
       breakdown trace_capacity telemetry_file sample_interval =
-    let module Txtrace = Lockiller.Mechanisms.Txtrace in
     let module Runtime = Lockiller.Mechanisms.Runtime in
+    let module Ledger = Lockiller.Engine.Ledger in
     match
       ( Lockiller.Mechanisms.Sysconf.find system,
         Lockiller.Stamp.Suite.find workload )
@@ -820,7 +820,6 @@ let trace_cmd =
     | None, _ -> `Error (false, "unknown system " ^ system)
     | _, None -> `Error (false, "unknown workload " ^ workload)
     | Some sysconf, Some profile -> (
-      let trace = ref None in
       let handle = ref None in
       let tele = ref None in
       match
@@ -834,9 +833,7 @@ let trace_cmd =
               on_runtime =
                 (fun rt ->
                   handle := Some rt;
-                  trace := Some (Runtime.enable_txtrace rt);
-                  if want_ledger ~trace_events ~breakdown then
-                    ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
+                  ignore (Runtime.enable_ledger ~capacity:trace_capacity rt));
               telemetry =
                 telemetry_option ~telemetry_file ~sample_interval tele;
             }
@@ -844,12 +841,12 @@ let trace_cmd =
       with
       | exception (Failure msg | Invalid_argument msg) -> `Error (false, msg)
       | r ->
-        (match !trace with
-        | None -> ()
-        | Some tr ->
-          Printf.printf "# %d lifecycle events recorded; last %d:\n"
-            (Txtrace.recorded tr) last;
-          Txtrace.dump ~limit:last Format.std_formatter tr);
+        Option.iter
+          (fun l ->
+            Printf.printf "# %d lifecycle events recorded; last %d:\n"
+              (Ledger.recorded l) last;
+            Tracing.pp_lifecycle ~limit:last Format.std_formatter l)
+          (Option.bind !handle Runtime.ledger);
         emit_telemetry ~telemetry_file !tele;
         Option.iter
           (emit_observability ?telemetry:!tele ~format:`Text ~trace_events

@@ -10,9 +10,9 @@
     and counted in {!dropped}.
 
     The ledger is the machine-readable companion to the end-of-run
-    aggregates in {!Stats}: the aggregates say {e how many} aborts of
-    each class a run suffered, the ledger says {e when}, {e on which
-    core} and {e in what interleaving} — the signal needed to diagnose
+    aggregates: those say {e how many} aborts of each class a run
+    suffered, the ledger says {e when}, {e on which core} and {e in
+    what interleaving} — the signal needed to diagnose
     fallback-path dynamics (who killed whom, how long the fallback lock
     was held, where NACK convoys formed). [Lk_sim.Tracing] aggregates
     it into abort-cause breakdown tables and exports it as a

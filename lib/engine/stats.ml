@@ -1,21 +1,7 @@
 (* lint: allow hashtbl — the registries below key counters by name at
    setup time only; the hot path mutates the counter records directly. *)
 
-type counter = { c_name : string; mutable c_value : int }
-
-type accumulator = {
-  a_name : string;
-  mutable a_count : int;
-  mutable a_sum : int;
-  mutable a_min : int;
-  mutable a_max : int;
-}
-
-type histogram = {
-  h_name : string;
-  (* bucket i counts samples with value < 2^i (and >= 2^(i-1)). *)
-  mutable h_buckets : int array;
-}
+type counter = { mutable c_value : int }
 
 (* Log-linear "HDR-style" histogram: values below [sub] (= 32) get an
    exact unit bucket; above that, each power-of-two octave is split
@@ -23,7 +9,6 @@ type histogram = {
    magnitude. 1856 buckets cover every non-negative OCaml int. *)
 
 type hdr = {
-  d_name : string;
   d_counts : int array;
   mutable d_count : int;
   mutable d_sum : int;
@@ -31,66 +16,46 @@ type hdr = {
   mutable d_max : int;
 }
 
-type group = {
-  g_name : string;
-  g_counters : (string, counter) Hashtbl.t;
-  g_accumulators : (string, accumulator) Hashtbl.t;
-  g_histograms : (string, histogram) Hashtbl.t;
-  g_hdrs : (string, hdr) Hashtbl.t;
-}
+type group = { g_name : string; g_counters : (string, counter) Hashtbl.t }
 
-let group g_name =
-  {
-    g_name;
-    g_counters = Hashtbl.create 16;
-    g_accumulators = Hashtbl.create 16;
-    g_histograms = Hashtbl.create 16;
-    g_hdrs = Hashtbl.create 16;
-  }
+let group g_name = { g_name; g_counters = Hashtbl.create 16 }
 
 let counter g name =
   match Hashtbl.find_opt g.g_counters name with
   | Some c -> c
   | None ->
-    let c = { c_name = name; c_value = 0 } in
+    let c = { c_value = 0 } in
     Hashtbl.add g.g_counters name c;
     c
 
-let accumulator g name =
-  match Hashtbl.find_opt g.g_accumulators name with
-  | Some a -> a
-  | None ->
-    let a = { a_name = name; a_count = 0; a_sum = 0; a_min = 0; a_max = 0 } in
-    Hashtbl.add g.g_accumulators name a;
-    a
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
+let value c = c.c_value
 
-let histogram g name =
-  match Hashtbl.find_opt g.g_histograms name with
-  | Some h -> h
-  | None ->
-    let h = { h_name = name; h_buckets = Array.make 64 0 } in
-    Hashtbl.add g.g_histograms name h;
-    h
+let counters g =
+  Hashtbl.fold (fun k c acc -> (k, c.c_value) :: acc) g.g_counters []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let reset g = Hashtbl.iter (fun _ c -> c.c_value <- 0) g.g_counters
+
+let pp ppf g =
+  Format.fprintf ppf "@[<v>[%s]" g.g_name;
+  List.iter
+    (fun (name, v) -> Format.fprintf ppf "@,%s = %d" name v)
+    (counters g);
+  Format.fprintf ppf "@]"
 
 (* (56 octaves + the unit range) * 32 sub-buckets. *)
 let hdr_buckets = 1856
 
-let hdr g name =
-  match Hashtbl.find_opt g.g_hdrs name with
-  | Some d -> d
-  | None ->
-    let d =
-      {
-        d_name = name;
-        d_counts = Array.make hdr_buckets 0;
-        d_count = 0;
-        d_sum = 0;
-        d_min = max_int;
-        d_max = min_int;
-      }
-    in
-    Hashtbl.add g.g_hdrs name d;
-    d
+let hdr () =
+  {
+    d_counts = Array.make hdr_buckets 0;
+    d_count = 0;
+    d_sum = 0;
+    d_min = max_int;
+    d_max = min_int;
+  }
 
 (* Index of the highest set bit of [v > 0]. *)
 let floor_log2 v =
@@ -150,106 +115,8 @@ let percentile d p =
     let i = ref 0 in
     while !acc < rank && !i < hdr_buckets do
       acc := !acc + d.d_counts.(!i);
-      incr i
+      i := !i + 1
     done;
     let v = hdr_bound (!i - 1) in
     if v < d.d_min then d.d_min else if v > d.d_max then d.d_max else v
   end
-
-let incr c = c.c_value <- c.c_value + 1
-let add c n = c.c_value <- c.c_value + n
-let value c = c.c_value
-
-let sample a v =
-  if a.a_count = 0 then begin
-    a.a_min <- v;
-    a.a_max <- v
-  end
-  else begin
-    if v < a.a_min then a.a_min <- v;
-    if v > a.a_max then a.a_max <- v
-  end;
-  a.a_count <- a.a_count + 1;
-  a.a_sum <- a.a_sum + v
-
-let count a = a.a_count
-let sum a = a.a_sum
-let min_sample a = if a.a_count = 0 then None else Some a.a_min
-let max_sample a = if a.a_count = 0 then None else Some a.a_max
-
-let mean a =
-  if a.a_count = 0 then 0.0 else float_of_int a.a_sum /. float_of_int a.a_count
-
-let bucket_index v =
-  if v <= 0 then 0
-  else
-    let rec go i acc = if acc > v then i else go (i + 1) (acc * 2) in
-    go 0 1
-
-let observe h v =
-  let i = Int.min (bucket_index v) (Array.length h.h_buckets - 1) in
-  h.h_buckets.(i) <- h.h_buckets.(i) + 1
-
-let buckets h =
-  let out = ref [] in
-  for i = Array.length h.h_buckets - 1 downto 0 do
-    if h.h_buckets.(i) > 0 then
-      out := ((1 lsl i) - 1, h.h_buckets.(i)) :: !out
-  done;
-  !out
-
-let sorted_bindings tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let counters g =
-  sorted_bindings g.g_counters |> List.map (fun (k, c) -> (k, c.c_value))
-
-let accumulators g = sorted_bindings g.g_accumulators
-let hdrs g = sorted_bindings g.g_hdrs
-
-let reset g =
-  Hashtbl.iter
-    (fun _ d ->
-      Array.fill d.d_counts 0 (Array.length d.d_counts) 0;
-      d.d_count <- 0;
-      d.d_sum <- 0;
-      d.d_min <- max_int;
-      d.d_max <- min_int)
-    g.g_hdrs;
-  Hashtbl.iter (fun _ c -> c.c_value <- 0) g.g_counters;
-  Hashtbl.iter
-    (fun _ a ->
-      a.a_count <- 0;
-      a.a_sum <- 0;
-      a.a_min <- 0;
-      a.a_max <- 0)
-    g.g_accumulators;
-  Hashtbl.iter
-    (fun _ h -> Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0)
-    g.g_histograms
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>[%s]" g.g_name;
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "@,%s = %d" name v)
-    (counters g);
-  List.iter
-    (fun (name, a) ->
-      Format.fprintf ppf "@,%s: n=%d sum=%d mean=%.2f" name a.a_count a.a_sum
-        (mean a))
-    (sorted_bindings g.g_accumulators);
-  List.iter
-    (fun (name, h) ->
-      Format.fprintf ppf "@,%s:" name;
-      List.iter
-        (fun (bound, n) -> Format.fprintf ppf " <=%d:%d" bound n)
-        (buckets h))
-    (sorted_bindings g.g_histograms);
-  List.iter
-    (fun (name, d) ->
-      Format.fprintf ppf "@,%s: n=%d mean=%.2f p50=%d p95=%d p99=%d" name
-        d.d_count (hdr_mean d) (percentile d 50.) (percentile d 95.)
-        (percentile d 99.))
-    (sorted_bindings g.g_hdrs);
-  Format.fprintf ppf "@]"

@@ -1,13 +1,11 @@
 (** Statistics primitives shared by all simulator components.
 
-    Counters are plain named integers; accumulators track sum/min/max
-    of integer samples; histograms bucket samples by powers of two. A
-    [group] bundles the three so a component can expose everything it
-    measured under one namespace and reports can render it uniformly. *)
+    Counters are plain named integers, bundled into a [group] so a
+    component can expose everything it counted under one namespace and
+    reports can render it uniformly. HDR histograms stand alone: their
+    owner hands them out directly. *)
 
 type counter
-type accumulator
-type histogram
 
 type hdr
 (** A log-linear ("HDR-style") histogram: exact unit buckets below 32,
@@ -18,19 +16,31 @@ type hdr
 type group
 
 val group : string -> group
-(** [group name] creates an empty statistics namespace. *)
+(** [group name] creates an empty counter namespace. *)
 
 val counter : group -> string -> counter
 (** Create-or-get the counter [name] inside the group. *)
 
-val accumulator : group -> string -> accumulator
-(** Create-or-get the accumulator [name] inside the group. *)
+val incr : counter -> unit
+(** Add one to the counter. *)
 
-val histogram : group -> string -> histogram
-(** Create-or-get the histogram [name] inside the group. *)
+val add : counter -> int -> unit
+(** Add an arbitrary (possibly negative) amount to the counter. *)
 
-val hdr : group -> string -> hdr
-(** Create-or-get the log-linear histogram [name] inside the group. *)
+val value : counter -> int
+(** Current counter value (0 at creation). *)
+
+val counters : group -> (string * int) list
+(** All counters of the group with their values, sorted by name. *)
+
+val reset : group -> unit
+(** Zero every counter in the group (the namespace survives). *)
+
+val pp : Format.formatter -> group -> unit
+(** Render the whole group, one counter per line. *)
+
+val hdr : unit -> hdr
+(** A fresh, empty log-linear histogram. *)
 
 val record : hdr -> int -> unit
 (** Record one sample (negative values clamp to 0). Allocation-free. *)
@@ -56,52 +66,3 @@ val percentile : hdr -> float -> int
     reported as its bucket's upper bound clamped to the observed
     min/max, so [percentile d 0.] and [percentile d 100.] are exact.
     0 when empty. *)
-
-val incr : counter -> unit
-(** Add one to the counter. *)
-
-val add : counter -> int -> unit
-(** Add an arbitrary (possibly negative) amount to the counter. *)
-
-val value : counter -> int
-(** Current counter value (0 at creation). *)
-
-val sample : accumulator -> int -> unit
-(** Record one integer sample. *)
-
-val count : accumulator -> int
-(** Number of samples recorded so far. *)
-
-val sum : accumulator -> int
-(** Sum of all samples (0 when empty). *)
-
-val min_sample : accumulator -> int option
-(** Smallest sample, or [None] when empty. *)
-
-val max_sample : accumulator -> int option
-(** Largest sample, or [None] when empty. *)
-
-val mean : accumulator -> float
-(** Mean of the samples; 0 when empty. *)
-
-val observe : histogram -> int -> unit
-(** Record one sample into its power-of-two bucket. *)
-
-val buckets : histogram -> (int * int) list
-(** [(upper_bound, count)] pairs for non-empty power-of-two buckets, in
-    increasing bound order. *)
-
-val counters : group -> (string * int) list
-(** All counters of the group with their values, sorted by name. *)
-
-val accumulators : group -> (string * accumulator) list
-(** All accumulators of the group, sorted by name. *)
-
-val hdrs : group -> (string * hdr) list
-(** All log-linear histograms of the group, sorted by name. *)
-
-val reset : group -> unit
-(** Zero every statistic in the group (the namespace survives). *)
-
-val pp : Format.formatter -> group -> unit
-(** Render the whole group, one statistic per line. *)

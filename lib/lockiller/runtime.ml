@@ -76,10 +76,9 @@ type t = {
   parked : (unit -> unit) option array;
   pending_wake : bool array;
   mutable oracle : Oracle.t option;
-  mutable txtrace : Txtrace.t option;
   mutable ledger : Ledger.t option;
   (* Cycle at which each core acquired the fallback spinlock; -1 when
-     not holding it. Feeds the lock-dwell counter. *)
+     not holding it. Feeds the lock-dwell histogram. *)
   lock_held_since : int array;
   (* Cycle at which each core first attempted its current critical
      section (-1 outside one) and cycle of its last abort (-1 once the
@@ -123,21 +122,11 @@ type t = {
      mutation tests; [None] in every real run. *)
   inject : Types.injected_fault option;
   per_core : core_stats array;
-  stats : Stats.group;
-  s_commits : Stats.counter;
-  s_aborts : Stats.counter;
-  s_rejects : Stats.counter;
-  s_parks : Stats.counter;
-  s_wakeups : Stats.counter;
-  s_rescues : Stats.counter;
-  s_switch_ok : Stats.counter;
-  s_switch_denied : Stats.counter;
-  s_spilled_lines : Stats.counter;
-  s_lock_busy : Stats.counter;
-  s_lock_dwell : Stats.counter;
-  s_sw_commits : Stats.counter;
-  s_sw_aborts : Stats.counter;
-  s_clock_adv : Stats.counter;
+  (* Records per ledger kind emitted through [emit], indexed by
+     [Ledger.kind_code]: the runtime's event counts, kept whether or not
+     a ledger ring is attached. *)
+  counts : int array;
+  mutable rescues : int;
   (* Always-on log-linear histograms (array increments on commit-rate
      paths; no allocation, no measurable cost). *)
   d_tx_latency : Stats.hdr;
@@ -153,8 +142,8 @@ let protocol t = t.proto
 let ctx t core = t.ctxs.(core)
 let lock_addr t = t.lock_addr
 let core_stats t core = t.per_core.(core)
-let stats t = t.stats
-let watchdog_rescues t = Stats.value t.s_rescues
+let count t kind = t.counts.(Ledger.kind_code kind)
+let watchdog_rescues t = t.rescues
 
 let parked_cores t =
   let out = ref [] in
@@ -251,13 +240,6 @@ let enable_oracle t =
 
 let oracle t = t.oracle
 
-let enable_txtrace ?capacity t =
-  let tr = Txtrace.create ?capacity () in
-  t.txtrace <- Some tr;
-  tr
-
-let txtrace t = t.txtrace
-
 let enable_ledger ?capacity t =
   let l = Ledger.create ?capacity t.sim in
   t.ledger <- Some l;
@@ -267,14 +249,12 @@ let enable_ledger ?capacity t =
 
 let ledger t = t.ledger
 
-let trace t core event =
-  match t.txtrace with
-  | None -> ()
-  | Some tr -> Txtrace.record tr ~time:(Sim.now t.sim) ~core event
-
-(* The structured counterpart of [trace]: one branch when disabled, an
-   allocation-free four-word write when enabled. *)
+(* The one place a runtime fact is recorded: always one array
+   increment, plus an allocation-free four-word ring write when a
+   ledger is attached. *)
 let emit t core kind ~arg =
+  let i = Ledger.kind_code kind in
+  t.counts.(i) <- t.counts.(i) + 1;
   match t.ledger with
   | None -> ()
   | Some l -> Ledger.emit l ~core kind ~arg
@@ -354,8 +334,6 @@ let wake t core =
   match t.parked.(core) with
   | Some resume ->
     t.parked.(core) <- None;
-    Stats.incr t.s_wakeups;
-    trace t core Txtrace.Woken;
     emit t core Ledger.Wake ~arg:0;
     Sim.schedule t.sim ~delay:0 resume
   | None ->
@@ -395,9 +373,7 @@ let park t core ~rejector_alive resume =
   else begin
     t.parked.(core) <- Some resume;
     t.per_core.(core).parks <- t.per_core.(core).parks + 1;
-    trace t core Txtrace.Parked;
-    emit t core Ledger.Park ~arg:0;
-    Stats.incr t.s_parks
+    emit t core Ledger.Park ~arg:0
   end
 
 (* --- Abort ------------------------------------------------------------ *)
@@ -466,8 +442,6 @@ let abort_core ?(aggressor = -1) t core reason =
   cs.wasted_by_reason.(Reason.index reason) <-
     cs.wasted_by_reason.(Reason.index reason) + age;
   t.last_abort.(core) <- Sim.now t.sim;
-  Stats.incr t.s_aborts;
-  trace t core (Txtrace.Abort reason);
   emit t core Ledger.Tx_abort
     ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
   (* The discard's [Spec_discard] packs the same attempt age, so the
@@ -531,8 +505,6 @@ let issue t core line what ~epoch k =
       | Types.Rejected { by } -> begin
         let cs = t.per_core.(core) in
         cs.rejects_received <- cs.rejects_received + 1;
-        Stats.incr t.s_rejects;
-        trace t core (Txtrace.Rejected { by });
         emit t core Ledger.Reject
           ~arg:
             (Ledger.pack_attr
@@ -578,7 +550,6 @@ let spill t core (view : L1.view) =
   | Some o when o = core -> ()
   | Some _ -> invalid_arg "Runtime.spill: signature owned by another core"
   | None -> t.sig_owner <- Some core);
-  Stats.incr t.s_spilled_lines;
   emit t core Ledger.Spill ~arg:view.L1.line;
   if view.L1.tx_write then Signature.add t.of_wr view.L1.line
   else Signature.add t.of_rd view.L1.line
@@ -600,8 +571,6 @@ let on_tx_eviction t ~core ~(view : L1.view) =
     c.Txstate.switch_tried <- true;
     let rtt = arbitration_rtt t core in
     if Arbiter.try_acquire t.arb core then begin
-      Stats.incr t.s_switch_ok;
-      trace t core Txtrace.Switch_granted;
       emit t core Ledger.Switch_granted ~arg:0;
       c.Txstate.mode <- Txstate.Stl;
       (* The transaction is irrevocable from here on: its speculative
@@ -611,8 +580,6 @@ let on_tx_eviction t ~core ~(view : L1.view) =
       Client.Spill { write = view.L1.tx_write; extra = rtt }
     end
     else begin
-      Stats.incr t.s_switch_denied;
-      trace t core Txtrace.Switch_denied;
       emit t core Ledger.Switch_denied ~arg:0;
       abort_core t core Reason.Capacity;
       Client.Abort_tx rtt
@@ -684,7 +651,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
   | Ok () -> ()
   | Error msg -> invalid_arg ("Runtime.create: " ^ msg));
   let cores = (Protocol.config proto).Protocol.cores in
-  let stats = Stats.group "runtime" in
   let sim = Protocol.sim proto in
   let t =
     {
@@ -705,7 +671,6 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
       parked = Array.make cores None;
       pending_wake = Array.make cores false;
       oracle = None;
-      txtrace = None;
       ledger = None;
       lock_held_since = Array.make cores (-1);
       section_start = Array.make cores (-1);
@@ -736,24 +701,11 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
               wasted = 0;
               wasted_by_reason = Array.make Reason.count 0;
             });
-      stats;
-      s_commits = Stats.counter stats "commits";
-      s_aborts = Stats.counter stats "aborts";
-      s_rejects = Stats.counter stats "rejects";
-      s_parks = Stats.counter stats "parks";
-      s_wakeups = Stats.counter stats "wakeups";
-      s_rescues = Stats.counter stats "watchdog_rescues";
-      s_switch_ok = Stats.counter stats "switches_granted";
-      s_switch_denied = Stats.counter stats "switches_denied";
-      s_spilled_lines = Stats.counter stats "spilled_lines";
-      s_lock_busy = Stats.counter stats "lock_busy_aborts";
-      s_lock_dwell = Stats.counter stats "lock_dwell_cycles";
-      s_sw_commits = Stats.counter stats "sw_commits";
-      s_sw_aborts = Stats.counter stats "sw_aborts";
-      s_clock_adv = Stats.counter stats "clock_advances";
-      d_tx_latency = Stats.hdr stats "tx_latency";
-      d_retry_gap = Stats.hdr stats "retry_gap";
-      d_lock_dwell = Stats.hdr stats "lock_dwell";
+      counts = Array.make (List.length Ledger.kinds) 0;
+      rescues = 0;
+      d_tx_latency = Stats.hdr ();
+      d_retry_gap = Stats.hdr ();
+      d_lock_dwell = Stats.hdr ();
     }
   in
   Protocol.set_client proto (client t);
@@ -773,7 +725,7 @@ let create ?(costs = default_costs) ?inject_bug ~protocol:proto ~store ~sysconf
           | None -> ()
           | Some resume ->
             t.parked.(core) <- None;
-            Stats.incr t.s_rescues;
+            t.rescues <- t.rescues + 1;
             Sim.schedule t.sim ~delay:1 resume)
         t.parked);
   t
@@ -785,7 +737,6 @@ let xbegin t core ~k =
   if c.Txstate.mode <> Txstate.Idle then
     invalid_arg "Runtime.xbegin: already in a transaction";
   Txstate.begin_htm c;
-  trace t core Txtrace.Xbegin;
   emit t core Ledger.Tx_begin ~arg:c.Txstate.attempt;
   attempt_clock_start t core;
   (* First attempt opens the critical section for the latency
@@ -819,7 +770,6 @@ let xbegin t core ~k =
             | `Granted ->
               c.Txstate.insts <- c.Txstate.insts + 1;
               if Store.committed t.store Sw_path.gate_addr <> 0 then begin
-                Stats.incr t.s_lock_busy;
                 abort_core t core Reason.Conflict_mutex;
                 k `Busy
               end
@@ -832,7 +782,6 @@ let xbegin t core ~k =
             | `Granted ->
               c.Txstate.insts <- c.Txstate.insts + 1;
               if Global_clock.commit_locked t.store then begin
-                Stats.incr t.s_lock_busy;
                 abort_core t core Reason.Conflict_mutex;
                 k `Busy
               end
@@ -848,7 +797,6 @@ let xbegin t core ~k =
             c.Txstate.insts <- c.Txstate.insts + 1;
             if Store.committed t.store t.lock_addr <> 0 then begin
               (* xabort(TME_LOCK_IS_ACQUIRED) *)
-              Stats.incr t.s_lock_busy;
               abort_core t core Reason.Conflict_mutex;
               k `Busy
             end
@@ -913,13 +861,11 @@ let xend t core ~k =
             !written_slots
         end;
         record_section t core Oracle.Htm_commit;
-        trace t core Txtrace.Commit;
         emit t core Ledger.Tx_commit ~arg:(c.Txstate.attempt + 1);
         let cs = t.per_core.(core) in
         cs.commits <- cs.commits + 1;
         cs.attempts_at_commit <-
           cs.attempts_at_commit + c.Txstate.attempt + 1;
-        Stats.incr t.s_commits;
         close_section t core;
         Txstate.finish c;
         send_wakeups t core;
@@ -941,7 +887,6 @@ let hlbegin t core ~k =
           if t.section_start.(core) < 0 then
             t.section_start.(core) <- Sim.now t.sim;
           attempt_clock_start t core;
-          trace t core Txtrace.Hlbegin;
           emit t core Ledger.Hl_begin ~arg:0;
           k ()
         end
@@ -961,7 +906,6 @@ let hlbegin t core ~k =
         if t.section_start.(core) < 0 then
           t.section_start.(core) <- Sim.now t.sim;
         attempt_clock_start t core;
-        trace t core Txtrace.Hlbegin;
         emit t core Ledger.Hl_begin ~arg:0;
         k ())
 
@@ -986,7 +930,6 @@ let hlend t core ~k =
       | Some _ | None -> ());
       record_section t core
         (if was_stl then Oracle.Stl_commit else Oracle.Tl_commit);
-      trace t core (Txtrace.Hlend { was_stl });
       emit t core Ledger.Hl_end ~arg:(if was_stl then 1 else 0);
       let cs = t.per_core.(core) in
       if was_stl then cs.stl_commits <- cs.stl_commits + 1
@@ -1021,7 +964,6 @@ let sw_gated t =
 let advance_clock t core ~to_ =
   if Global_clock.advance t.store ~to_ then begin
     t.clock_now <- to_;
-    Stats.incr t.s_clock_adv;
     emit t core Ledger.Clock_advance ~arg:to_
   end
 
@@ -1062,9 +1004,6 @@ let sw_abort ?(aggressor = -1) t core reason ~k =
   cs.wasted_by_reason.(Reason.index reason) <-
     cs.wasted_by_reason.(Reason.index reason) + age;
   t.last_abort.(core) <- Sim.now t.sim;
-  Stats.incr t.s_aborts;
-  Stats.incr t.s_sw_aborts;
-  trace t core (Txtrace.Abort reason);
   emit t core Ledger.Sw_abort
     ~arg:(Ledger.pack_abort ~reason:(Reason.index reason) ~who:aggressor ~age);
   ignore (Store.discard t.store ~core);
@@ -1272,7 +1211,6 @@ let sw_commit t core ~k =
       emit t core Ledger.Sw_commit ~arg:wt;
       let cs = t.per_core.(core) in
       cs.sw_commits <- cs.sw_commits + 1;
-      Stats.incr t.s_sw_commits;
       close_section t core;
       Sw_path.reset t.sw core;
       t.sw_now <- t.sw_now - 1;
@@ -1308,7 +1246,6 @@ let hw_pre_access t core ~line ~is_read ~epoch k =
           | `Granted ->
             c.Txstate.insts <- c.Txstate.insts + 1;
             if Global_clock.commit_locked t.store then begin
-              Stats.incr t.s_lock_busy;
               abort_core t core Reason.Conflict_mutex;
               k `Aborted
             end
@@ -1323,7 +1260,6 @@ let hw_pre_access t core ~line ~is_read ~epoch k =
               (Sw_path.meta_addr_of_slot (Sw_path.slot_of_line line))
           in
           if Sw_path.locked word then begin
-            Stats.incr t.s_lock_busy;
             abort_core t core Reason.Conflict_mutex;
             k `Aborted
           end
@@ -1415,7 +1351,6 @@ let note_lock_acquired t core =
 let note_lock_released t core =
   let since = t.lock_held_since.(core) in
   if since >= 0 then begin
-    Stats.add t.s_lock_dwell (Sim.now t.sim - since);
     Stats.record t.d_lock_dwell (Sim.now t.sim - since);
     t.lock_held_since.(core) <- -1
   end;
@@ -1440,7 +1375,6 @@ let lock_acquire_ttas t core ~k =
     | `Granted ->
       if Store.committed t.store t.lock_addr = 0 then begin
         Store.write t.store ~core ~speculative:false t.lock_addr 1;
-        trace t core Txtrace.Lock_acquired;
         note_lock_acquired t core;
         k ()
       end
@@ -1474,7 +1408,6 @@ let lock_acquire_ticket t core ~k =
       let rec spin () = issue t core serving_line Types.Read ~epoch on_read
       and on_read _ =
         if Store.committed t.store (serving_addr t) = my then begin
-          trace t core Txtrace.Lock_acquired;
           note_lock_acquired t core;
           k ()
         end
@@ -1507,7 +1440,6 @@ let lock_release t core ~k =
     issue t core t.lock_line Types.Write ~epoch (function
       | `Aborted | `Granted ->
         Store.write t.store ~core ~speculative:false t.lock_addr 0;
-        trace t core Txtrace.Lock_released;
         note_lock_released t core;
         k ())
   | Policy.Ticket ->
@@ -1517,6 +1449,5 @@ let lock_release t core ~k =
         let s_addr = serving_addr t in
         Store.write t.store ~core ~speculative:false s_addr
           (Store.committed t.store s_addr + 1);
-        trace t core Txtrace.Lock_released;
         note_lock_released t core;
         k ())

@@ -181,13 +181,6 @@ val enable_oracle : t -> Lk_htm.Oracle.t
 
 val oracle : t -> Lk_htm.Oracle.t option
 
-val enable_txtrace : ?capacity:int -> t -> Txtrace.t
-(** Start recording transaction-lifecycle events (begins, commits,
-    aborts, rejects, parks/wakes, HTMLock entries, switch attempts,
-    lock handoffs) into a bounded ring. See {!Txtrace}. *)
-
-val txtrace : t -> Txtrace.t option
-
 val enable_ledger : ?capacity:int -> t -> Lk_engine.Ledger.t
 (** Start recording the structured transaction-event ledger and wire it
     into all three emitting layers at once: this runtime (begins,
@@ -204,12 +197,23 @@ val enable_ledger : ?capacity:int -> t -> Lk_engine.Ledger.t
     computing; see the packing helpers in {!Lk_engine.Ledger} — so a
     causal profiler can reconstruct who killed whom and how much work
     died.
-    Until called the runtime performs no ledger work at all (a single
-    [None] test per would-be event). [capacity] bounds the ring (default
-    65536 records); older records are dropped, see
+    Until called the runtime writes no ring at all (a single [None]
+    test per event; {!count} is kept either way). [capacity] bounds
+    the ring (default 65536 records); older records are dropped, see
     {!Lk_engine.Ledger.dropped}. *)
 
 val ledger : t -> Lk_engine.Ledger.t option
+
+val count : t -> Lk_engine.Ledger.kind -> int
+(** Events of this kind the runtime has emitted so far, whether or not
+    a ledger is attached. Covers the kinds the runtime itself emits
+    (begins, commits, aborts, rejects, parks/wakes, HTMLock entries and
+    exits, switch decisions, spills, lock acquire/release, the software
+    path's begin/commit/abort and clock advances); [Nack], [Abort_kill],
+    [Spec_publish] and [Spec_discard] come from the coherence and value
+    layers and always read 0 here. With a ledger attached from the
+    start and nothing dropped, [count t k] equals the ledger's record
+    count of kind [k]. *)
 
 val plain_section_begin : t -> Lk_coherence.Types.core_id -> unit
 (** The core enters a lock-protected non-transactional critical section
@@ -244,7 +248,6 @@ type core_stats = {
 }
 
 val core_stats : t -> Lk_coherence.Types.core_id -> core_stats
-val stats : t -> Lk_engine.Stats.group
 
 val commit_rate : t -> float
 (** Committed transactions (HTM, STL and software) / started attempts,
@@ -330,8 +333,8 @@ val retry_gap_hdr : t -> Lk_engine.Stats.hdr
 
 val lock_dwell_hdr : t -> Lk_engine.Stats.hdr
 (** Always-on fallback-lock dwell histogram: cycles each acquisition
-    held the lock (the histogram behind the [lock_dwell_cycles]
-    counter). *)
+    held the lock; its {!Lk_engine.Stats.hdr_sum} is the result's
+    [lock_dwell_cycles]. *)
 
 val clock_value : t -> int
 (** Current global version clock (committed word at

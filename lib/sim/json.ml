@@ -176,29 +176,39 @@ let of_string s =
     in
     go ()
   in
+  (* RFC 8259 numbers, where [digits] is one or more of 0-9:
+     -? (0 | [1-9] digits?) (. digits)? ([eE] [+-]? digits)? *)
   let parse_number () =
     let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
+    let is_digit = function Some '0' .. '9' -> true | _ -> false in
+    let digits what =
+      if not (is_digit (peek ())) then
+        parse_error !pos ("expected a digit " ^ what ^ " in number");
+      while is_digit (peek ()) do
+        advance ()
+      done
     in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
+    if peek () = Some '-' then advance ();
+    (match peek () with
+    | Some '0' ->
+      advance ();
+      if is_digit (peek ()) then parse_error start "leading zero in number"
+    | _ -> digits "in the integer part");
+    let floaty = ref false in
+    if peek () = Some '.' then begin
+      floaty := true;
+      advance ();
+      digits "after the decimal point"
+    end;
+    (match peek () with
+    | Some ('e' | 'E') ->
+      floaty := true;
+      advance ();
+      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      digits "in the exponent"
+    | _ -> ());
     let token = String.sub s start (!pos - start) in
-    (* JSON forbids leading zeros: 0, -0 and 0.5 are numbers, 007 and
-       -01 are not. *)
-    let digits = if token <> "" && token.[0] = '-' then 1 else 0 in
-    if
-      String.length token > digits + 1
-      && token.[digits] = '0'
-      && match token.[digits + 1] with '0' .. '9' -> true | _ -> false
-    then parse_error start ("leading zero in number " ^ token);
-    let floaty =
-      String.exists (fun c -> c = '.' || c = 'e' || c = 'E') token
-    in
-    if floaty then
+    if !floaty then
       match float_of_string_opt token with
       | Some f -> Float f
       | None -> parse_error start ("bad number " ^ token)

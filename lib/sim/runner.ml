@@ -1,5 +1,6 @@
 module Sim = Lk_engine.Sim
 module Stats = Lk_engine.Stats
+module Ledger = Lk_engine.Ledger
 module Network = Lk_mesh.Network
 module Protocol = Lk_coherence.Protocol
 module Store = Lk_htm.Store
@@ -72,11 +73,6 @@ type telemetry_request = {
 
 let telemetry_request ?(interval = 1024) ?(capacity = 4096) consume =
   { sample_interval = interval; sample_capacity = capacity; consume }
-
-let counter_value stats name =
-  match List.assoc_opt name (Stats.counters stats) with
-  | Some v -> v
-  | None -> 0
 
 type placement = Compact | Spread
 
@@ -169,9 +165,8 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~oracle ~on_runt
           (seed + (1299721 * Hashtbl.hash body.Workload.name))
       in
       let rngs = Array.init threads (fun _ -> Lk_engine.Rng.split root) in
-      let group = Stats.group "replay" in
-      let qdelay = Stats.hdr group "queue_delay" in
-      let sojourn = Stats.hdr group "sojourn" in
+      let qdelay = Stats.hdr () in
+      let sojourn = Stats.hdr () in
       let phases = Array.make (Lk_trace.Record.max_phase + 1) 0 in
       let arrivals = ref 0
       and completed = ref 0
@@ -347,7 +342,7 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~oracle ~on_runt
   (match tele with
   | Some (req, handle) -> req.consume handle
   | None -> ());
-  let stats = Runtime.stats runtime in
+  let count = Runtime.count runtime in
   let latency = Runtime.tx_latency_hdr runtime in
   ( store,
     {
@@ -369,12 +364,12 @@ let execute ?queue_backend ?(check = false) ?telemetry ~machine ~oracle ~on_runt
     breakdown = Accounting.total acct;
     rejects = !rejects;
     parks = !parks;
-    wakeups = counter_value stats "wakeups";
-    switches_granted = counter_value stats "switches_granted";
-    switches_denied = counter_value stats "switches_denied";
-    spilled_lines = counter_value stats "spilled_lines";
-    lock_dwell_cycles = counter_value stats "lock_dwell_cycles";
-    clock_advances = counter_value stats "clock_advances";
+    wakeups = count Ledger.Wake;
+    switches_granted = count Ledger.Switch_granted;
+    switches_denied = count Ledger.Switch_denied;
+    spilled_lines = count Ledger.Spill;
+    lock_dwell_cycles = Stats.hdr_sum (Runtime.lock_dwell_hdr runtime);
+    clock_advances = count Ledger.Clock_advance;
     watchdog_rescues = Runtime.watchdog_rescues runtime;
     network_messages = Network.messages_sent net;
     network_flits = Network.flits_sent net;

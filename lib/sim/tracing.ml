@@ -118,6 +118,51 @@ let json_of_breakdown b =
       ("dropped", Json.Int b.dropped);
     ]
 
+(* --- Lifecycle listing ---------------------------------------------------- *)
+
+let reason_label code =
+  match reason_of_index code with Some r -> Reason.label r | None -> "?"
+
+let by_label who = if who < 0 then "llc" else string_of_int who
+
+let lifecycle_label kind ~arg =
+  match (kind : Ledger.kind) with
+  | Tx_begin -> "xbegin"
+  | Tx_commit -> "commit"
+  | Tx_abort -> "abort:" ^ reason_label (Ledger.abort_reason arg)
+  | Nack -> Printf.sprintf "nack(by %s)" (by_label (Ledger.attr_who arg))
+  | Reject -> Printf.sprintf "rejected(by %s)" (by_label (Ledger.attr_who arg))
+  | Abort_kill -> Printf.sprintf "killed(by %d)" (Ledger.attr_who arg)
+  | Park -> "parked"
+  | Wake -> "woken"
+  | Lock_acquire -> "lock-acquired"
+  | Lock_release -> "lock-released"
+  | Hl_begin -> "hlbegin"
+  | Hl_end -> if arg = 1 then "hlend(stl)" else "hlend(tl)"
+  | Switch_granted -> "switch-granted"
+  | Switch_denied -> "switch-denied"
+  | Spill -> Printf.sprintf "spill(line %d)" arg
+  | Spec_publish -> Printf.sprintf "publish(%d writes)" arg
+  | Spec_discard ->
+    Printf.sprintf "discard(%d writes)" (Ledger.discard_writes arg)
+  | Sw_begin -> Printf.sprintf "swbegin(rv %d)" arg
+  | Sw_commit -> Printf.sprintf "swcommit(wt %d)" arg
+  | Sw_abort -> "swabort:" ^ reason_label (Ledger.abort_reason arg)
+  | Clock_advance -> Printf.sprintf "clock(%d)" arg
+
+let pp_lifecycle ?limit ppf l =
+  let skip =
+    match limit with None -> 0 | Some n -> Int.max 0 (Ledger.length l - n)
+  in
+  if Ledger.dropped l > 0 then
+    Format.fprintf ppf "... %d earlier events dropped ...@." (Ledger.dropped l);
+  let i = ref 0 in
+  Ledger.iter l (fun ~time ~core ~kind ~arg ->
+      if !i >= skip then
+        Format.fprintf ppf "%10d  core %2d  %s@." time core
+          (lifecycle_label kind ~arg);
+      incr i)
+
 (* --- Perfetto export --------------------------------------------------- *)
 
 let slice ~name ~ts ~dur ~tid ~args =

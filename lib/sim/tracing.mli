@@ -46,6 +46,27 @@ val breakdown_table : ?title:string -> breakdown -> Report.table
 val json_of_breakdown : breakdown -> Json.t
 (** Label-keyed counts ([{"aborts": ..., "by_reason": {"mc": ...}}]). *)
 
+(** {1 Lifecycle listing}
+
+    The ledger decoded one record per line, the text view behind
+    [lockiller_sim trace]. *)
+
+val pp_lifecycle : ?limit:int -> Format.formatter -> Lk_engine.Ledger.t -> unit
+(** One ["%10d  core %2d  <label>"] line per retained record (cycle,
+    core, the record in words), oldest first, preceded by a drop notice
+    when the ring wrapped. [limit] keeps only the trailing records.
+    Labels: ["xbegin"], ["commit"], ["abort:<reason>"] (the
+    {!Lk_htm.Reason.label}), ["rejected(by N)"] or ["rejected(by llc)"]
+    for an overflow-signature reject, ["parked"], ["woken"],
+    ["hlbegin"], ["hlend(stl)"] / ["hlend(tl)"], ["switch-granted"],
+    ["switch-denied"], ["lock-acquired"], ["lock-released"]; and for
+    the coherence, value-layer and software-path kinds
+    ["nack(by N|llc)"], ["killed(by N)"], ["spill(line N)"],
+    ["publish(N writes)"], ["discard(N writes)"], ["swbegin(rv N)"],
+    ["swcommit(wt N)"], ["swabort:<reason>"] and ["clock(N)"].
+    {!Lk_engine.Ledger.dump} is the raw, byte-stable format for
+    differential tests. *)
+
 (** {1 Perfetto export}
 
     The Chrome trace-event JSON format ([{"traceEvents": [...]}]),

@@ -453,39 +453,6 @@ let test_sim_step () =
   check_bool "step 2" true (Sim.step sim);
   check_bool "drained" false (Sim.step sim)
 
-(* --- Trace ----------------------------------------------------------- *)
-
-let test_trace_src_naming () =
-  let src = Lk_engine.Trace.src "protocol" in
-  Alcotest.(check string) "namespaced" "lockiller.protocol" (Logs.Src.name src)
-
-let test_trace_disabled_is_silent () =
-  (* no reporter installed: debugf must be a no-op, not an error *)
-  let src = Lk_engine.Trace.src "test" in
-  Lk_engine.Trace.debugf src ~cycle:42 "event %d happened" 7;
-  ()
-
-let test_trace_disabled_no_formatting () =
-  (* With the source below Debug, the format arguments must be consumed
-     without being rendered: the per-call allocation is a few closure
-     words (constant), not proportional to the payload. Formatting the
-     4KB payload would cost >500 words/call; the ikfprintf path
-     measures ~26. *)
-  let src = Lk_engine.Trace.src "alloc-probe" in
-  let payload = String.make 4096 'x' in
-  let calls = 10_000 in
-  for i = 1 to 100 do
-    Lk_engine.Trace.debugf src ~cycle:i "%s %d" payload i
-  done;
-  let w0 = Gc.minor_words () in
-  for i = 1 to calls do
-    Lk_engine.Trace.debugf src ~cycle:i "%s %d" payload i
-  done;
-  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
-  check_bool
-    (Printf.sprintf "payload not formatted (%.1f words/call)" per_call)
-    true (per_call < 64.0)
-
 (* --- Ledger ---------------------------------------------------------- *)
 
 module Ledger = Lk_engine.Ledger
@@ -599,29 +566,6 @@ let test_stats_counter () =
   check_bool "same name same counter" true
     (Stats.value (Stats.counter g "hits") = 5)
 
-let test_stats_accumulator () =
-  let g = Stats.group "g" in
-  let a = Stats.accumulator g "lat" in
-  List.iter (Stats.sample a) [ 10; 2; 6 ];
-  check_int "count" 3 (Stats.count a);
-  check_int "sum" 18 (Stats.sum a);
-  check_bool "min" true (Stats.min_sample a = Some 2);
-  check_bool "max" true (Stats.max_sample a = Some 10);
-  check (Alcotest.float 0.001) "mean" 6.0 (Stats.mean a)
-
-let test_stats_empty_accumulator () =
-  let g = Stats.group "g" in
-  let a = Stats.accumulator g "none" in
-  check_bool "min none" true (Stats.min_sample a = None);
-  check (Alcotest.float 0.001) "mean 0" 0.0 (Stats.mean a)
-
-let test_stats_histogram () =
-  let g = Stats.group "g" in
-  let h = Stats.histogram g "sizes" in
-  List.iter (Stats.observe h) [ 0; 1; 1; 3; 100 ];
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 (Stats.buckets h) in
-  check_int "all samples bucketed" 5 total
-
 let test_stats_reset () =
   let g = Stats.group "g" in
   let c = Stats.counter g "x" in
@@ -639,8 +583,7 @@ let test_stats_counters_sorted () =
 (* --- HDR histograms --------------------------------------------------- *)
 
 let test_hdr_empty () =
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "lat" in
+  let d = Stats.hdr () in
   check_int "count" 0 (Stats.hdr_count d);
   check_int "sum" 0 (Stats.hdr_sum d);
   check_bool "min none" true (Stats.hdr_min d = None);
@@ -651,8 +594,7 @@ let test_hdr_empty () =
 let test_hdr_exact_below_32 () =
   (* Values below 32 land in unit-width buckets: every percentile is
      exact, not just within the 1/32 relative error bound. *)
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "small" in
+  let d = Stats.hdr () in
   for v = 0 to 31 do
     Stats.record d v
   done;
@@ -666,8 +608,7 @@ let test_hdr_exact_below_32 () =
   check_int "p0 exact" 0 (Stats.percentile d 0.)
 
 let test_hdr_singleton () =
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "one" in
+  let d = Stats.hdr () in
   Stats.record d 123456;
   check_int "p50 clamps to the only sample" 123456 (Stats.percentile d 50.);
   check_int "p99 clamps to the only sample" 123456 (Stats.percentile d 99.)
@@ -675,8 +616,7 @@ let test_hdr_singleton () =
 let test_hdr_percentile_error_bound () =
   (* Log-linear buckets with 32 sub-buckets per octave: any percentile
      is within 1/32 (~3.2%) of the true order statistic. *)
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "wide" in
+  let d = Stats.hdr () in
   for v = 1 to 100_000 do
     Stats.record d v
   done;
@@ -695,29 +635,23 @@ let test_hdr_percentile_error_bound () =
   check_int "p100 clamps to max" 100_000 (Stats.percentile d 100.)
 
 let test_hdr_negative_clamped () =
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "neg" in
+  let d = Stats.hdr () in
   Stats.record d (-5);
   check_int "counted" 1 (Stats.hdr_count d);
   check_bool "clamped to 0" true (Stats.hdr_min d = Some 0);
   check_int "p50" 0 (Stats.percentile d 50.)
 
-let test_hdr_reset_and_listing () =
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "zulu" in
-  ignore (Stats.hdr g "alpha");
-  Stats.record d 7;
-  check_bool "same name same hdr" true (Stats.hdr_count (Stats.hdr g "zulu") = 1);
-  Alcotest.(check (list string))
-    "sorted listing" [ "alpha"; "zulu" ]
-    (List.map fst (Stats.hdrs g));
-  Stats.reset g;
-  check_int "reset zeroes count" 0 (Stats.hdr_count d);
-  check_bool "reset zeroes min" true (Stats.hdr_min d = None)
+let test_hdr_independent () =
+  (* Histograms are free-standing values: each [hdr ()] is a fresh,
+     empty histogram that shares no state with any other. *)
+  let a = Stats.hdr () and b = Stats.hdr () in
+  Stats.record a 7;
+  check_int "recorded" 1 (Stats.hdr_count a);
+  check_int "other untouched" 0 (Stats.hdr_count b);
+  check_bool "other min none" true (Stats.hdr_min b = None)
 
 let test_hdr_record_no_alloc () =
-  let g = Stats.group "g" in
-  let d = Stats.hdr g "hot" in
+  let d = Stats.hdr () in
   for i = 0 to 99 do
     Stats.record d (i * 37)
   done;
@@ -906,14 +840,6 @@ let () =
             test_sim_hook_loop_with_progress_ok;
           Alcotest.test_case "single step" `Quick test_sim_step;
         ] );
-      ( "trace",
-        [
-          Alcotest.test_case "src naming" `Quick test_trace_src_naming;
-          Alcotest.test_case "silent when disabled" `Quick
-            test_trace_disabled_is_silent;
-          Alcotest.test_case "disabled skips formatting" `Quick
-            test_trace_disabled_no_formatting;
-        ] );
       ( "ledger",
         [
           Alcotest.test_case "codes roundtrip" `Quick
@@ -926,10 +852,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counter" `Quick test_stats_counter;
-          Alcotest.test_case "accumulator" `Quick test_stats_accumulator;
-          Alcotest.test_case "empty accumulator" `Quick
-            test_stats_empty_accumulator;
-          Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "reset" `Quick test_stats_reset;
           Alcotest.test_case "counters sorted" `Quick
             test_stats_counters_sorted;
@@ -943,8 +865,8 @@ let () =
             test_hdr_percentile_error_bound;
           Alcotest.test_case "negative clamped" `Quick
             test_hdr_negative_clamped;
-          Alcotest.test_case "reset and listing" `Quick
-            test_hdr_reset_and_listing;
+          Alcotest.test_case "instances independent" `Quick
+            test_hdr_independent;
           Alcotest.test_case "record no alloc" `Quick test_hdr_record_no_alloc;
         ] );
       ( "timeseries",

@@ -17,7 +17,6 @@ module Txstate = Lk_htm.Txstate
 module Sysconf = Lk_lockiller.Sysconf
 module Runtime = Lk_lockiller.Runtime
 module Signature = Lk_lockiller.Signature
-module Txtrace = Lk_lockiller.Txtrace
 module Wake_table = Lk_lockiller.Wake_table
 module Arbiter = Lk_lockiller.Arbiter
 module Program = Lk_cpu.Program
@@ -281,10 +280,7 @@ let test_switching_mode_survives_overflow () =
   for i = 0 to 3 do
     check_int "counter adds up" 8 (Store.committed r.store (colliding i))
   done;
-  let stats = Runtime.stats r.runtime in
-  let granted =
-    List.assoc "switches_granted" (Lk_engine.Stats.counters stats)
-  in
+  let granted = Runtime.count r.runtime Lk_engine.Ledger.Switch_granted in
   check_bool "switchingMode fired" true (granted > 0);
   let stl =
     List.init 2 (fun c -> (Runtime.core_stats r.runtime c).Runtime.stl_commits)
@@ -735,72 +731,78 @@ let test_barrier_workloads_complete () =
         (w.Lk_stamp.Workload.barrier_every <> None))
     [ "kmeans"; "kmeans+"; "genome" ]
 
-let test_txtrace_ring () =
-  let tr = Txtrace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Txtrace.record tr ~time:i ~core:0 Txtrace.Xbegin
-  done;
-  check_int "recorded all" 6 (Txtrace.recorded tr);
-  check_int "dropped oldest" 2 (Txtrace.dropped tr);
-  let es = Txtrace.entries tr in
-  check_int "retained capacity" 4 (List.length es);
-  check_int "oldest retained is #3" 3 (List.hd es).Txtrace.time;
-  Txtrace.clear tr;
-  check_int "cleared" 0 (Txtrace.recorded tr)
-
-let test_txtrace_labels () =
-  check_bool "abort label" true
-    (Txtrace.event_label (Txtrace.Abort Reason.Capacity) = "abort:of");
-  check_bool "stl label" true
-    (Txtrace.event_label (Txtrace.Hlend { was_stl = true }) = "hlend(stl)")
-
-let test_txtrace_records_lifecycle () =
-  let program = counter_program ~threads:4 ~per_thread:8 ~counter:(data 0) in
-  let sim = Sim.create () in
-  let net =
-    Lk_mesh.Network.create (Lk_mesh.Topology.create ~rows:2 ~cols:2)
+let test_runtime_counts_lifecycle () =
+  (* [Runtime.count] is bumped by the same [emit] that feeds the ledger:
+     with the ring attached and nothing dropped the two agree kind by
+     kind, and the counts are the same when no ring is attached. *)
+  let run ~with_ledger =
+    let program = counter_program ~threads:4 ~per_thread:8 ~counter:(data 0) in
+    let sim = Sim.create () in
+    let net =
+      Lk_mesh.Network.create (Lk_mesh.Topology.create ~rows:2 ~cols:2)
+    in
+    let cfg =
+      {
+        Protocol.cores = 4;
+        l1_size = 16 * 64 * 2;
+        l1_ways = 2;
+        l1_hit_latency = 2;
+        llc_size = 4 * 64 * 64 * 8;
+        llc_ways = 8;
+        llc_hit_latency = 12;
+        mem_latency = 100;
+        exclusive_state = true;
+        dir_pointers = None;
+        dir_shards = 0;
+        dir_hash = Shard.Mod;
+      }
+    in
+    let protocol = Protocol.create ~sim ~network:net cfg in
+    let store = Store.create ~cores:4 in
+    let runtime =
+      Runtime.create ~protocol ~store ~sysconf:Sysconf.lockiller ~lock_addr ()
+    in
+    let ledger =
+      if with_ledger then Some (Runtime.enable_ledger runtime) else None
+    in
+    let acct = Accounting.create ~cores:4 in
+    let cpus =
+      Array.mapi
+        (fun core thread ->
+          Core.spawn ~runtime ~core ~thread ~accounting:acct ~on_done:(fun () ->
+              ()) ())
+        program
+    in
+    Array.iter Core.start cpus;
+    Sim.run sim;
+    (runtime, ledger)
   in
-  let cfg =
-    {
-      Protocol.cores = 4;
-      l1_size = 16 * 64 * 2;
-      l1_ways = 2;
-      l1_hit_latency = 2;
-      llc_size = 4 * 64 * 64 * 8;
-      llc_ways = 8;
-      llc_hit_latency = 12;
-      mem_latency = 100;
-      exclusive_state = true;
-      dir_pointers = None;
-      dir_shards = 0;
-      dir_hash = Shard.Mod;
-    }
+  let runtime, ledger = run ~with_ledger:true in
+  let ledger = Option.get ledger in
+  check_int "nothing dropped" 0 (Lk_engine.Ledger.dropped ledger);
+  let in_ledger kind =
+    let n = ref 0 in
+    Lk_engine.Ledger.iter ledger (fun ~time:_ ~core:_ ~kind:k ~arg:_ ->
+        if k = kind then incr n);
+    !n
   in
-  let protocol = Protocol.create ~sim ~network:net cfg in
-  let store = Store.create ~cores:4 in
-  let runtime =
-    Runtime.create ~protocol ~store ~sysconf:Sysconf.lockiller ~lock_addr ()
+  let bare, _ = run ~with_ledger:false in
+  List.iter
+    (fun kind ->
+      let label = Lk_engine.Ledger.kind_label kind in
+      let n = Runtime.count runtime kind in
+      check_int (label ^ " = ledger records") (in_ledger kind) n;
+      check_int (label ^ " without a ledger") n (Runtime.count bare kind))
+    [ Lk_engine.Ledger.Tx_begin; Tx_commit; Tx_abort; Reject; Park; Wake ];
+  let commits =
+    List.init 4 (fun c -> (Runtime.core_stats runtime c).Runtime.commits)
+    |> List.fold_left ( + ) 0
   in
-  let tr = Runtime.enable_txtrace runtime in
-  let acct = Accounting.create ~cores:4 in
-  let cpus =
-    Array.mapi
-      (fun core thread ->
-        Core.spawn ~runtime ~core ~thread ~accounting:acct ~on_done:(fun () ->
-            ()) ())
-      program
-  in
-  Array.iter Core.start cpus;
-  Sim.run sim;
-  let events = List.map (fun e -> e.Txtrace.event) (Txtrace.entries tr) in
-  let count p = List.length (List.filter p events) in
-  check_int "one xbegin per attempt" 32
-    (count (fun e -> e = Txtrace.Xbegin) + 0
-    |> fun begins ->
-       if begins >= 32 then 32
-       else begins (* at least one begin per committed tx *));
-  check_bool "commits traced" true
-    (count (fun e -> e = Txtrace.Commit) > 0)
+  check_int "commits counted" commits
+    (Runtime.count runtime Lk_engine.Ledger.Tx_commit);
+  check_bool "commits traced" true (commits > 0);
+  check_bool "a begin per commit" true
+    (Runtime.count runtime Lk_engine.Ledger.Tx_begin >= commits)
 
 let test_store_semantics () =
   let st = Store.create ~cores:2 in
@@ -894,9 +896,7 @@ let () =
             test_barrier_phases_synchronise_threads;
           Alcotest.test_case "barrier workloads" `Quick
             test_barrier_workloads_complete;
-          Alcotest.test_case "txtrace ring" `Quick test_txtrace_ring;
-          Alcotest.test_case "txtrace labels" `Quick test_txtrace_labels;
-          Alcotest.test_case "txtrace lifecycle" `Quick
-            test_txtrace_records_lifecycle;
+          Alcotest.test_case "runtime counts lifecycle" `Quick
+            test_runtime_counts_lifecycle;
         ] );
     ]

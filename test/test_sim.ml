@@ -466,10 +466,18 @@ let test_result_json_rejects_garbage () =
   rejects "underscore in \\u" {|{"a":"\u1_23"}|} 8;
   rejects "leading zero" {|{"b":007}|} 5;
   rejects "negative leading zero" {|[-01]|} 1;
+  (* RFC 8259 number grammar: an integer part before any fraction, and
+     at least one digit after a decimal point or an exponent marker. *)
+  rejects "no integer part" "-.5" 1;
+  rejects "bare decimal point" "1." 2;
+  rejects "empty fraction before exponent" "1.e5" 2;
+  rejects "negative bare decimal point" "-1." 3;
+  rejects "zero, empty fraction" "0.e1" 2;
+  rejects "negative, no integer part" "-.0" 1;
   List.iter
     (fun input ->
       check_bool (input ^ " accepted") true (Result.is_ok (Json.of_string input)))
-    [ "0"; "-0"; "0.5"; "-0.5"; "10"; {|"\u00e9"|} ]
+    [ "0"; "-0"; "0.5"; "-0.5"; "10"; {|"\u00e9"|}; "1e5"; "1E+2"; "-0.5e-3" ]
 
 let test_json_float_roundtrip () =
   List.iter
@@ -509,10 +517,10 @@ module Runtime = Lk_lockiller.Runtime
    ledger on (capacity ample enough that nothing is dropped). Intruder
    at this scale is contended enough to produce aborts, rejects and
    parks while staying fast. *)
-let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(threads = 4)
-    ?(queue_backend = Lk_engine.Event_queue.Wheel) () =
-  let w = Option.get (Suite.find "intruder") in
-  let ledger = ref None in
+let run_observed ?(sysconf = Sysconf.lockiller) ?(workload = "intruder")
+    ?(threads = 4) ?(queue_backend = Lk_engine.Event_queue.Wheel) () =
+  let w = Option.get (Suite.find workload) in
+  let handle = ref None in
   let r =
     Runner.run
       ~options:
@@ -523,11 +531,17 @@ let run_with_ledger ?(sysconf = Sysconf.lockiller) ?(threads = 4)
           queue_backend;
           on_runtime =
             (fun rt ->
-              ledger := Some (Runtime.enable_ledger ~capacity:(1 lsl 18) rt));
+              ignore (Runtime.enable_ledger ~capacity:(1 lsl 18) rt);
+              handle := Some rt);
         }
       ~sysconf ~workload:w ~threads ()
   in
-  (r, Option.get !ledger)
+  let rt = Option.get !handle in
+  (r, rt, Option.get (Runtime.ledger rt))
+
+let run_with_ledger ?sysconf ?threads ?queue_backend () =
+  let r, _, l = run_observed ?sysconf ?threads ?queue_backend () in
+  (r, l)
 
 let test_ledger_breakdown_matches_stats () =
   let r, l = run_with_ledger () in
@@ -546,7 +560,108 @@ let test_ledger_breakdown_matches_stats () =
   let commits = ref 0 in
   Ledger.iter l (fun ~time:_ ~core:_ ~kind ~arg:_ ->
       if kind = Ledger.Tx_commit then incr commits);
-  check_int "commits" r.Runner.htm_commits !commits
+  check_int "commits" r.Runner.htm_commits !commits;
+  (* [Runtime.count] is the runtime's one record path: for every kind
+     it emits, the count equals the ledger's records of that kind, and
+     the result fields read from the counts agree with the stream.
+     Besides the contended intruder run, a switching run (spills,
+     switch decisions) and a hybrid run (software path, clock
+     advances). *)
+  let emitted_elsewhere =
+    [ Ledger.Nack; Ledger.Abort_kill; Ledger.Spec_publish; Ledger.Spec_discard ]
+  in
+  List.iter
+    (fun (sysconf, workload) ->
+      let r, rt, l = run_observed ~sysconf ~workload () in
+      let what = sysconf.Sysconf.name ^ "/" ^ workload in
+      check_int (what ^ " nothing dropped") 0 (Ledger.dropped l);
+      let per_kind = Array.make (List.length Ledger.kinds) 0 in
+      Ledger.iter l (fun ~time:_ ~core:_ ~kind ~arg:_ ->
+          let i = Ledger.kind_code kind in
+          per_kind.(i) <- per_kind.(i) + 1);
+      let records kind = per_kind.(Ledger.kind_code kind) in
+      List.iter
+        (fun kind ->
+          let expected =
+            if List.mem kind emitted_elsewhere then 0 else records kind
+          in
+          check_int
+            (what ^ " count " ^ Ledger.kind_label kind)
+            expected (Runtime.count rt kind))
+        Ledger.kinds;
+      check_int (what ^ " wakeups") (records Ledger.Wake) r.Runner.wakeups;
+      check_int (what ^ " switches_granted")
+        (records Ledger.Switch_granted) r.Runner.switches_granted;
+      check_int (what ^ " switches_denied")
+        (records Ledger.Switch_denied) r.Runner.switches_denied;
+      check_int (what ^ " spilled_lines") (records Ledger.Spill)
+        r.Runner.spilled_lines;
+      check_int (what ^ " clock_advances")
+        (records Ledger.Clock_advance) r.Runner.clock_advances)
+    [
+      (Sysconf.lockiller, "intruder");
+      (Sysconf.lockiller, "labyrinth");
+      (Sysconf.hytm_gv1, "intruder");
+    ]
+
+let test_lifecycle_labels () =
+  (* One hand-built record of every kind through the [trace] listing's
+     decoder: every kind has a label, in the "%10d  core %2d  <label>"
+     line format. *)
+  let l = Ledger.create (Lk_engine.Sim.create ()) in
+  let emit core kind arg = Ledger.emit l ~core kind ~arg in
+  let mc = Reason.index Reason.Conflict_htm in
+  emit 0 Ledger.Tx_begin 0;
+  emit 0 Ledger.Tx_commit 1;
+  emit 1 Ledger.Tx_abort (Ledger.pack_abort ~reason:mc ~who:2 ~age:40);
+  emit 1 Ledger.Nack (Ledger.pack_attr ~who:(-1) ~age:5);
+  emit 1 Ledger.Reject (Ledger.pack_attr ~who:2 ~age:5);
+  emit 3 Ledger.Abort_kill (Ledger.pack_attr ~who:12 ~age:9);
+  emit 1 Ledger.Park 0;
+  emit 1 Ledger.Wake 0;
+  emit 2 Ledger.Lock_acquire 0;
+  emit 2 Ledger.Lock_release 0;
+  emit 2 Ledger.Hl_begin 0;
+  emit 2 Ledger.Hl_end 1;
+  emit 2 Ledger.Hl_end 0;
+  emit 0 Ledger.Switch_granted 0;
+  emit 0 Ledger.Switch_denied 0;
+  emit 0 Ledger.Spill 77;
+  emit 0 Ledger.Spec_publish 3;
+  emit 1 Ledger.Spec_discard (Ledger.pack_discard ~writes:4 ~age:10);
+  emit 1 Ledger.Sw_begin 6;
+  emit 1 Ledger.Sw_commit 8;
+  emit 1 Ledger.Sw_abort
+    (Ledger.pack_abort ~reason:(Reason.index Reason.Validation) ~who:(-1)
+       ~age:3);
+  emit 1 Ledger.Clock_advance 8;
+  let kinds = List.map (fun e -> e.Ledger.kind) (Ledger.entries l) in
+  List.iter
+    (fun k ->
+      check_bool (Ledger.kind_label k ^ " covered") true (List.mem k kinds))
+    Ledger.kinds;
+  let line core label = Printf.sprintf "%10d  core %2d  %s" 0 core label in
+  let expected =
+    [
+      line 0 "xbegin"; line 0 "commit"; line 1 "abort:mc";
+      line 1 "nack(by llc)"; line 1 "rejected(by 2)"; line 3 "killed(by 12)";
+      line 1 "parked"; line 1 "woken"; line 2 "lock-acquired";
+      line 2 "lock-released"; line 2 "hlbegin"; line 2 "hlend(stl)";
+      line 2 "hlend(tl)"; line 0 "switch-granted"; line 0 "switch-denied";
+      line 0 "spill(line 77)"; line 0 "publish(3 writes)";
+      line 1 "discard(4 writes)"; line 1 "swbegin(rv 6)";
+      line 1 "swcommit(wt 8)"; line 1 "swabort:valid"; line 1 "clock(8)";
+    ]
+  in
+  let listing ?limit () =
+    Format.asprintf "%a" (Tracing.pp_lifecycle ?limit) l
+    |> String.split_on_char '\n'
+    |> List.filter (fun s -> s <> "")
+  in
+  Alcotest.(check (list string)) "decoded lines" expected (listing ());
+  Alcotest.(check (list string))
+    "last two" [ line 1 "swabort:valid"; line 1 "clock(8)" ]
+    (listing ~limit:2 ())
 
 let test_ledger_backend_differential () =
   (* The ledger is a total order over observable events, so it is a
@@ -1194,6 +1309,7 @@ let () =
         ] );
       ( "ledger",
         [
+          Alcotest.test_case "lifecycle labels" `Quick test_lifecycle_labels;
           Alcotest.test_case "breakdown matches stats" `Quick
             test_ledger_breakdown_matches_stats;
           Alcotest.test_case "wheel vs heap streams" `Quick
